@@ -134,6 +134,10 @@ int main(int argc, char** argv) {
   mmhand::nn::Conv2d conv(8, 16, 3, 1, 1, rng);
   const mmhand::nn::Tensor conv_x =
       mmhand::nn::Tensor::randn({1, 8, 32, 32}, rng, 1.0);
+  // mmSpaceNet's block2.up2 upsampling layer.
+  mmhand::nn::ConvTranspose2d deconv(20, 20, 4, 2, 1, rng);
+  const mmhand::nn::Tensor deconv_x =
+      mmhand::nn::Tensor::randn({8, 20, 6, 6}, rng, 1.0);
   mmhand::nn::Linear fc(256, 256, rng);
   const mmhand::nn::Tensor fc_x =
       mmhand::nn::Tensor::randn({64, 256}, rng, 1.0);
@@ -149,6 +153,7 @@ int main(int argc, char** argv) {
   const std::vector<Op> ops = {
       {"process_frame", [&] { pipe.process_frame(frame); }, 9},
       {"conv2d_forward", [&] { conv.forward(conv_x, false); }, 15},
+      {"deconv_forward", [&] { deconv.forward(deconv_x, false); }, 15},
       {"linear_forward", [&] { fc.forward(fc_x, false); }, 25},
       {"lstm_step", [&] { lstm.forward(lstm_x, false); }, 25},
   };

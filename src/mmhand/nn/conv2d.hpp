@@ -2,9 +2,11 @@
 
 // 2-D convolution and transposed convolution over [N, C, H, W] maps.
 //
-// Conv2d runs im2col + matmul (the dominant training cost of mmSpaceNet);
-// ConvTranspose2d uses direct scatter loops, which is plenty for the small
-// upsampling maps in the hourglass branch.
+// Both forwards run one row gather + `gemm_acc`.  Conv2d gathers im2col
+// columns; ConvTranspose2d splits a stride-s output into s*s phases, each
+// a small dense convolution of the input whose taps are gathered in the
+// order a direct scatter would accumulate them, so results match the
+// scatter bit for bit on finite input.
 
 #include "mmhand/nn/layer.hpp"
 

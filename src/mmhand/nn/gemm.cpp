@@ -73,7 +73,6 @@ void gemm_acc(const float* a, const float* b, float* c, int m, int k,
             float* ci = c + static_cast<std::size_t>(i) * n;
             for (int p = pp; p < p1; ++p) {
               const float av = ai[p];
-              if (av == 0.0f) continue;
               const float* bp = b + static_cast<std::size_t>(p) * n;
               for (int j = jj; j < j1; ++j) ci[j] += av * bp[j];
             }
@@ -93,7 +92,6 @@ void gemm_acc(const float* a, const float* b, float* c, int m, int k,
           float* ci = c + static_cast<std::size_t>(i) * n;
           for (int p = pp; p < p1; ++p) {
             const float av = ai[p];
-            if (av == 0.0f) continue;
             const float* bp = b + static_cast<std::size_t>(p) * n;
             for (int j = j0; j < j1; ++j) ci[j] += av * bp[j];
           }
@@ -117,7 +115,6 @@ void gemm_at_b_acc(const float* a, const float* b, float* c, int m, int k,
         float* ci = c + static_cast<std::size_t>(i) * n;
         for (int p = pp; p < p1; ++p) {
           const float av = a[static_cast<std::size_t>(p) * m + i];
-          if (av == 0.0f) continue;
           const float* bp = b + static_cast<std::size_t>(p) * n;
           for (int j = 0; j < n; ++j) ci[j] += av * bp[j];
         }

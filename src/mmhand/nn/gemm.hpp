@@ -3,12 +3,14 @@
 // Shared SGEMM kernels for the NN hot path.
 //
 // One cache-blocked, row-parallel matrix multiply backs Conv2d (im2col),
-// Linear, and the LSTM/GRU gate projections instead of per-layer ad-hoc
-// loops.  All matrices are row-major and dense.  Every kernel *accumulates*
-// into C (callers pre-fill C with the bias or zeros), and every kernel is
-// deterministic: threads partition rows of C, and for a fixed output
-// element the k-summation order never depends on the thread count, so
-// results are bitwise identical at any `mmhand::num_threads()`.
+// ConvTranspose2d (per output phase), Linear, and the LSTM/GRU gate
+// projections instead of per-layer ad-hoc loops.  All matrices are
+// row-major and dense.  Every kernel *accumulates* into C (callers pre-fill
+// C with the bias or zeros), and every kernel is deterministic: threads
+// partition rows of C, and for a fixed output element the k-summation order
+// never depends on the thread count, so results are bitwise identical at
+// any `mmhand::num_threads()`.  No kernel skips zero operands: 0 * Inf must
+// stay NaN so the numeric watchdog sees it.
 
 namespace mmhand::nn {
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "mmhand/nn/activations.hpp"
 #include "mmhand/nn/attention.hpp"
@@ -156,6 +160,147 @@ TEST(ConvTranspose2d, DoublesSpatialExtent) {
   const Tensor y = deconv.forward(x, false);
   EXPECT_EQ(y.dim(2), 6);
   EXPECT_EQ(y.dim(3), 6);
+}
+
+/// The direct-scatter transposed convolution the phase-split forward
+/// replaced: every nonzero input adds into the K x K outputs it reaches,
+/// visiting inputs in (c, i, j) order.  Kept as the bitwise oracle.
+Tensor deconv_scatter(const Tensor& x, const Tensor& weight,
+                      const Tensor& bias, int stride, int pad) {
+  const int n = x.dim(0), in_ch = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int out_ch = weight.dim(1), kernel = weight.dim(2);
+  const int oh = (h - 1) * stride - 2 * pad + kernel;
+  const int ow = (w - 1) * stride - 2 * pad + kernel;
+  Tensor y({n, out_ch, oh, ow});
+  for (int s = 0; s < n; ++s)
+    for (int oc = 0; oc < out_ch; ++oc)
+      for (int i = 0; i < oh; ++i)
+        for (int j = 0; j < ow; ++j) y.at(s, oc, i, j) = bias.at(oc);
+  for (int s = 0; s < n; ++s)
+    for (int c = 0; c < in_ch; ++c)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const float v = x.at(s, c, i, j);
+          if (v == 0.0f) continue;
+          for (int oc = 0; oc < out_ch; ++oc)
+            for (int ki = 0; ki < kernel; ++ki) {
+              const int oi = i * stride + ki - pad;
+              if (oi < 0 || oi >= oh) continue;
+              for (int kj = 0; kj < kernel; ++kj) {
+                const int oj = j * stride + kj - pad;
+                if (oj < 0 || oj >= ow) continue;
+                y.at(s, oc, oi, oj) += v * weight.at(c, oc, ki, kj);
+              }
+            }
+        }
+  return y;
+}
+
+/// Runs `deconv` and the scatter oracle on the same post-ReLU input (about
+/// half exact zeros) and random bias, and requires bitwise equality.
+void expect_deconv_matches_scatter(int n, int in_ch, int out_ch, int k,
+                                   int stride, int pad, int h, int w,
+                                   std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "n=" << n << " ic=" << in_ch << " oc=" << out_ch
+               << " k=" << k << " s=" << stride << " p=" << pad << " "
+               << h << "x" << w);
+  Rng rng(seed);
+  ConvTranspose2d deconv(in_ch, out_ch, k, stride, pad, rng);
+  if (deconv.out_extent(h) < 1 || deconv.out_extent(w) < 1) return;
+  Parameter& bias = *deconv.parameters()[1];
+  bias.value = random_tensor({out_ch}, rng, 0.5);
+  Tensor x = random_tensor({n, in_ch, h, w}, rng);
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = std::max(x[i], 0.0f);
+  const Tensor y = deconv.forward(x, false);
+  const Tensor ref =
+      deconv_scatter(x, deconv.parameters()[0]->value, bias.value, stride,
+                     pad);
+  ASSERT_EQ(y.shape(), ref.shape());
+  for (std::size_t i = 0; i < y.numel(); ++i)
+    ASSERT_EQ(std::memcmp(y.data() + i, ref.data() + i, sizeof(float)), 0)
+        << "output " << i << ": " << y[i] << " vs " << ref[i];
+}
+
+TEST(ConvTranspose2d, ForwardMatchesScatterOracleBitwise) {
+  std::uint64_t seed = 100;
+  for (int k = 1; k <= 5; ++k)
+    for (int stride = 1; stride <= 3; ++stride)
+      for (int pad = 0; pad < k; ++pad) {
+        expect_deconv_matches_scatter(3, 2, 3, k, stride, pad, 4, 5, ++seed);
+        expect_deconv_matches_scatter(2, 3, 2, k, stride, pad, 1, 2, ++seed);
+        expect_deconv_matches_scatter(1, 1, 1, k, stride, pad, 3, 1, ++seed);
+      }
+}
+
+TEST(ConvTranspose2d, ForwardMatchesScatterOracleAtModelShapes) {
+  // mmSpaceNet's upsampling layers: block1.up2 and block2.up2 inputs.
+  expect_deconv_matches_scatter(8, 16, 16, 4, 2, 1, 6, 6, 7);
+  expect_deconv_matches_scatter(8, 20, 20, 4, 2, 1, 6, 6, 8);
+  expect_deconv_matches_scatter(1, 20, 20, 4, 2, 1, 6, 6, 9);
+}
+
+/// A non-finite input must reach every output whose receptive field holds
+/// it, even through weights that are exactly zero (0 * Inf = NaN), and no
+/// other output.  `reaches(oi, oj, i0, j0)` says whether output (oi, oj)
+/// sees input (i0, j0); `oc_dim` is the output-channel axis of the weight.
+template <typename Reaches>
+void expect_nonfinite_propagates(Layer& layer, int oc_dim, int in_ch, int h,
+                                 int w, float poison, Reaches reaches) {
+  Rng rng(21);
+  // Output channel 0 multiplies everything by exact zeros.
+  Parameter& weight = *layer.parameters()[0];
+  const int kk = weight.value.dim(2) * weight.value.dim(3);
+  for (int a = 0; a < weight.value.dim(0); ++a)
+    for (int b = 0; b < weight.value.dim(1); ++b)
+      if ((oc_dim == 0 ? a : b) == 0)
+        for (int t = 0; t < kk; ++t)
+          weight.value[(static_cast<std::size_t>(a) * weight.value.dim(1) +
+                        b) * kk + t] = 0.0f;
+  Tensor x = random_tensor({1, in_ch, h, w}, rng);
+  const int i0 = h / 2, j0 = w / 2;
+  x.at(0, in_ch - 1, i0, j0) = poison;
+  const Tensor y = layer.forward(x, false);
+  int reached = 0;
+  for (int oc = 0; oc < y.dim(1); ++oc)
+    for (int oi = 0; oi < y.dim(2); ++oi)
+      for (int oj = 0; oj < y.dim(3); ++oj) {
+        const bool hit = reaches(oi, oj, i0, j0);
+        reached += hit;
+        EXPECT_EQ(!std::isfinite(y.at(0, oc, oi, oj)), hit)
+            << "oc=" << oc << " (" << oi << "," << oj << ")";
+      }
+  EXPECT_GT(reached, 0);
+}
+
+TEST(Conv2d, NonFiniteInputReachesReceptiveFieldThroughZeroWeights) {
+  const int k = 3, stride = 2, pad = 1;
+  const auto reaches = [&](int oi, int oj, int i0, int j0) {
+    const int ki = i0 - oi * stride + pad, kj = j0 - oj * stride + pad;
+    return ki >= 0 && ki < k && kj >= 0 && kj < k;
+  };
+  for (const float poison : {std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()}) {
+    Rng rng(22);
+    Conv2d conv(2, 3, k, stride, pad, rng);
+    expect_nonfinite_propagates(conv, /*oc_dim=*/0, 2, 7, 6, poison,
+                                reaches);
+  }
+}
+
+TEST(ConvTranspose2d, NonFiniteInputReachesReceptiveFieldThroughZeroWeights) {
+  const int k = 4, stride = 2, pad = 1;
+  const auto reaches = [&](int oi, int oj, int i0, int j0) {
+    const int ki = oi - i0 * stride + pad, kj = oj - j0 * stride + pad;
+    return ki >= 0 && ki < k && kj >= 0 && kj < k;
+  };
+  for (const float poison : {std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()}) {
+    Rng rng(23);
+    ConvTranspose2d deconv(2, 3, k, stride, pad, rng);
+    expect_nonfinite_propagates(deconv, /*oc_dim=*/1, 2, 4, 5, poison,
+                                reaches);
+  }
 }
 
 TEST(Activations, ReluForwardAndGrad) {

@@ -59,6 +59,7 @@ TEST(ParallelDeterminism, ProcessFrameBitwiseEqualAcrossThreadCounts) {
 
 struct ConvResult {
   std::vector<float> y, grad_in, dw, db;
+  std::vector<float> deconv_y1, deconv_y8;  ///< batch 1 and batch 8
 };
 
 ConvResult run_conv() {
@@ -69,8 +70,17 @@ ConvResult run_conv() {
   const nn::Tensor g = nn::Tensor::randn(y.shape(), rng, 1.0);
   const nn::Tensor grad_in = conv.backward(g);
   const auto params = conv.parameters();
-  return {y.vec(), grad_in.vec(), params[0]->grad.vec(),
-          params[1]->grad.vec()};
+  // mmSpaceNet's block2.up2 shape: batch 1 fans out inside gemm_acc,
+  // batch 8 over samples.
+  nn::ConvTranspose2d deconv(20, 20, 4, 2, 1, rng);
+  const nn::Tensor x8 = nn::Tensor::randn({8, 20, 6, 6}, rng, 1.0);
+  const nn::Tensor x1 = nn::Tensor::randn({1, 20, 6, 6}, rng, 1.0);
+  return {y.vec(),
+          grad_in.vec(),
+          params[0]->grad.vec(),
+          params[1]->grad.vec(),
+          deconv.forward(x1, /*training=*/false).vec(),
+          deconv.forward(x8, /*training=*/false).vec()};
 }
 
 TEST(ParallelDeterminism, Conv2dForwardBackwardBitwiseEqual) {
@@ -80,6 +90,8 @@ TEST(ParallelDeterminism, Conv2dForwardBackwardBitwiseEqual) {
   EXPECT_EQ(serial.grad_in, threaded.grad_in);
   EXPECT_EQ(serial.dw, threaded.dw);
   EXPECT_EQ(serial.db, threaded.db);
+  EXPECT_EQ(serial.deconv_y1, threaded.deconv_y1);
+  EXPECT_EQ(serial.deconv_y8, threaded.deconv_y8);
 }
 
 std::tuple<std::vector<float>, std::vector<float>> run_linear() {
