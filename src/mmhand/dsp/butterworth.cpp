@@ -40,123 +40,60 @@ SosFilter::SosFilter(std::vector<Biquad> sections, double gain)
   }
 }
 
-std::vector<double> SosFilter::filter(std::span<const double> x) const {
-  std::vector<double> y(x.begin(), x.end());
-  for (const Biquad& s : sections_) {
-    double z1 = 0.0, z2 = 0.0;
-    for (double& v : y) {
-      const double in = v;
-      const double out = s.b0 * in + z1;
-      z1 = s.b1 * in - s.a1 * out + z2;
-      z2 = s.b2 * in - s.a2 * out;
-      v = out;
-    }
-  }
-  for (double& v : y) v *= gain_;
-  return y;
-}
-
-std::vector<double> SosFilter::filtfilt(std::span<const double> x) const {
-  MMHAND_CHECK(x.size() >= 2, "filtfilt needs >= 2 samples");
-  // Odd-reflection padding on both edges (scipy-style) to reduce startup
-  // transients; pad length bounded by signal size.
-  const std::size_t pad =
-      std::min<std::size_t>(x.size() - 1, 3 * (2 * sections_.size() + 1));
-  std::vector<double> ext;
-  ext.reserve(x.size() + 2 * pad);
-  for (std::size_t i = 0; i < pad; ++i)
-    ext.push_back(2.0 * x[0] - x[pad - i]);
-  ext.insert(ext.end(), x.begin(), x.end());
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < pad; ++i)
-    ext.push_back(2.0 * x[n - 1] - x[n - 2 - i]);
-
-  std::vector<double> fwd = filter(ext);
-  std::reverse(fwd.begin(), fwd.end());
-  std::vector<double> bwd = filter(fwd);
-  std::reverse(bwd.begin(), bwd.end());
-  return {bwd.begin() + static_cast<std::ptrdiff_t>(pad),
-          bwd.begin() + static_cast<std::ptrdiff_t>(pad + n)};
-}
-
-std::vector<Cd> SosFilter::filtfilt(std::span<const Cd> x) const {
-  std::vector<double> re(x.size()), im(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    re[i] = x[i].real();
-    im[i] = x[i].imag();
-  }
-  const auto fre = filtfilt(std::span<const double>(re));
-  const auto fim = filtfilt(std::span<const double>(im));
-  std::vector<Cd> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Cd{fre[i], fim[i]};
-  return y;
-}
-
 MMHAND_REALTIME
 void SosFilter::filtfilt_batch(Cd* data, std::size_t len,
                                std::size_t count) const {
   MMHAND_CHECK(len >= 2, "filtfilt needs >= 2 samples");
   if (count == 0) return;
 
-  if (simd::active_isa() == simd::Isa::kScalar) {
-    // Reference path: per-signal filtfilt, same op order as the
-    // pre-batch pipeline loop — scalar results stay bitwise identical.
-    parallel_for(0, static_cast<std::int64_t>(count), 1,
-                 [&](std::int64_t i) {
-                   Cd* sig = data + static_cast<std::size_t>(i) * len;
-                   const auto y = filtfilt(std::span<const Cd>(sig, len));
-                   std::copy(y.begin(), y.end(), sig);
-                 });
-    return;
-  }
-
-  // Vector path: each complex signal contributes two real channels
-  // (re, im) that occupy adjacent SIMD lanes; a block fills all
-  // `width` lanes with width/2 signals.  Block membership is fixed by
-  // index, so results do not depend on the thread count.
+  // Each complex signal i contributes two real channels: 2i (its real
+  // part) and 2i+1 (its imaginary part).  A block fills the `width`
+  // SIMD lanes with `width` consecutive channels — two signals at
+  // width 4, one at width 2, half of one at width 1.  Block membership
+  // is fixed by index, so results do not depend on the thread count.
   const auto& kernels = simd::kernels();
   const std::size_t width = static_cast<std::size_t>(kernels.width);
-  const std::size_t per_block = std::max<std::size_t>(1, width / 2);
+  const std::size_t channels = 2 * count;
   const std::size_t nsec = sections_.size();
   const std::size_t pad =
       std::min<std::size_t>(len - 1, 3 * (2 * nsec + 1));
   const std::size_t ext = len + 2 * pad;
   const double* coeffs = packed_coeffs_.data();
+  // std::complex<double> is layout-compatible with double[2], so
+  // channel c is the stride-2 run starting at this pointer.
+  double* const flat = reinterpret_cast<double*>(data);
+  auto channel = [&](std::size_t c) {
+    return flat + 2 * len * (c / 2) + c % 2;
+  };
 
   const std::int64_t blocks =
-      static_cast<std::int64_t>((count + per_block - 1) / per_block);
+      static_cast<std::int64_t>((channels + width - 1) / width);
   parallel_for(0, blocks, 1, [&](std::int64_t b) {
     double* x = biquad_scratch(ext * width);
-    const std::size_t first = static_cast<std::size_t>(b) * per_block;
-    const std::size_t in_block = std::min(per_block, count - first);
-    for (std::size_t p = 0; p < per_block; ++p) {
-      // Duplicate the last signal into unused lanes so every lane holds
-      // finite data; their results are simply not written back.
-      const std::size_t sig_idx = first + std::min(p, in_block - 1);
-      const Cd* sig = data + sig_idx * len;
-      const std::size_t lr = 2 * p, li = 2 * p + 1 < width ? 2 * p + 1 : lr;
-      for (std::size_t t = 0; t < len; ++t) {
-        x[(pad + t) * width + lr] = sig[t].real();
-        x[(pad + t) * width + li] = sig[t].imag();
+    const std::size_t first = static_cast<std::size_t>(b) * width;
+    const std::size_t in_block = std::min(width, channels - first);
+    // Duplicate the last channel into unused lanes so every lane holds
+    // finite data; their results are simply not written back.
+    double* lane[8];  // kernels().width is 1, 2 or 4
+    for (std::size_t l = 0; l < width; ++l)
+      lane[l] = channel(first + std::min(l, in_block - 1));
+    for (std::size_t t = 0; t < len; ++t)
+      for (std::size_t l = 0; l < width; ++l)
+        x[(pad + t) * width + l] = lane[l][2 * t];
+    // Odd reflection around both edges (scipy-style) suppresses the
+    // startup transients of each pass.
+    for (std::size_t i = 0; i < pad; ++i)
+      for (std::size_t l = 0; l < width; ++l) {
+        const double* sig = lane[l];
+        x[i * width + l] = 2.0 * sig[0] - sig[2 * (pad - i)];
+        x[(pad + len + i) * width + l] =
+            2.0 * sig[2 * (len - 1)] - sig[2 * (len - 2 - i)];
       }
-      // Odd reflection around both edges, matching `filtfilt`.
-      for (std::size_t i = 0; i < pad; ++i) {
-        x[i * width + lr] = 2.0 * sig[0].real() - sig[pad - i].real();
-        x[i * width + li] = 2.0 * sig[0].imag() - sig[pad - i].imag();
-        x[(pad + len + i) * width + lr] =
-            2.0 * sig[len - 1].real() - sig[len - 2 - i].real();
-        x[(pad + len + i) * width + li] =
-            2.0 * sig[len - 1].imag() - sig[len - 2 - i].imag();
-      }
-    }
     kernels.sos_lanes(x, ext, coeffs, nsec, gain_, +1);
     kernels.sos_lanes(x, ext, coeffs, nsec, gain_, -1);
-    for (std::size_t p = 0; p < in_block; ++p) {
-      Cd* sig = data + (first + p) * len;
-      const std::size_t lr = 2 * p, li = 2 * p + 1 < width ? 2 * p + 1 : lr;
-      for (std::size_t t = 0; t < len; ++t)
-        sig[t] = Cd{x[(pad + t) * width + lr], x[(pad + t) * width + li]};
-    }
+    for (std::size_t t = 0; t < len; ++t)
+      for (std::size_t l = 0; l < in_block; ++l)
+        lane[l][2 * t] = x[(pad + t) * width + l];
   });
 }
 

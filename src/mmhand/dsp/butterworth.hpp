@@ -9,7 +9,6 @@
 // body and furniture clutter before the range-FFT.
 
 #include <complex>
-#include <span>
 #include <vector>
 
 #include "mmhand/common/aligned.hpp"
@@ -28,24 +27,15 @@ class SosFilter {
   SosFilter() = default;
   SosFilter(std::vector<Biquad> sections, double gain);
 
-  /// Runs the cascade over a real signal (direct form II transposed).
-  std::vector<double> filter(std::span<const double> x) const;
-
-  /// Zero-phase filtering: forward pass, then backward pass, with
-  /// reflected-edge padding to suppress startup transients.
-  std::vector<double> filtfilt(std::span<const double> x) const;
-
-  /// Zero-phase filtering of a complex signal (real filter applied to the
-  /// real and imaginary parts independently).
-  std::vector<std::complex<double>> filtfilt(
-      std::span<const std::complex<double>> x) const;
-
   /// Zero-phase filters `count` equal-length complex signals in place
-  /// (signal i occupies data[i*len, (i+1)*len)).  With the scalar ISA
-  /// this loops the per-signal `filtfilt` above — bitwise identical to
-  /// pre-batch behavior; on vector ISAs the real/imaginary components
-  /// ride the SIMD lanes of a batched biquad cascade (channel-major,
-  /// one lane per real channel), within 1e-9 relative of scalar.
+  /// (signal i occupies data[i*len, (i+1)*len)): a forward and a
+  /// backward pass of the biquad cascade (direct form II transposed),
+  /// with odd-reflection padding of min(len-1, 3*(2*sections+1)) samples
+  /// on both edges to suppress startup transients.  The real filter
+  /// acts on the real and imaginary parts independently; each part is
+  /// one real channel riding a lane of the SIMD kernel table, at every
+  /// ISA (width 1 under the scalar ISA).  Allocation-free once the
+  /// per-thread scratch is warm.
   void filtfilt_batch(std::complex<double>* data, std::size_t len,
                       std::size_t count) const;
 

@@ -25,9 +25,9 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-/// Both twiddle caches are keyed by power-of-two FFT size, so instead
+/// The twiddle cache is keyed by power-of-two FFT size, so instead
 /// of a map probe under a mutex on *every* lookup (a lock the purity
-/// analyzer rightly flags on the frame path), each cache is a fixed
+/// analyzer rightly flags on the frame path), the cache is a fixed
 /// array of atomic slots indexed by log2(n).  Steady state is one
 /// acquire load; misses build the table under a mutex and publish with
 /// a release store.  Entries are never evicted, so the returned
@@ -68,54 +68,12 @@ const double* twiddle_interleaved(std::size_t n) {
   return reinterpret_cast<const double*>(twiddle_table(n).data());
 }
 
-/// Per-stage twiddle tables for the SoA single-signal FFT: stage
-/// len = 2, 4, ..., n contributes len/2 contiguous entries
-/// w_n^{k * (n/len)}, so the vectorized butterfly loop loads twiddles
-/// with unit stride.  n-1 doubles per component, cached like the main
-/// table.
-struct StageTwiddles {
-  aligned_vector<double> re, im;
-};
-
-std::atomic<const StageTwiddles*> g_stage_slots[kMaxLog2];
-std::mutex g_stage_mu;
-
-const StageTwiddles& stage_twiddles(std::size_t n) {
-  MMHAND_ASSERT(is_power_of_two(n));
-  const unsigned idx = static_cast<unsigned>(std::countr_zero(n));
-  if (const auto* t = g_stage_slots[idx].load(std::memory_order_acquire))
-    return *t;
-  std::lock_guard<std::mutex> lk(g_stage_mu);
-  if (const auto* t = g_stage_slots[idx].load(std::memory_order_relaxed))
-    return *t;
-  auto table = std::make_unique<StageTwiddles>();
-  table->re.reserve(n - 1);
-  table->im.reserve(n - 1);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t stride = n / len;
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      const Complex w = std::polar(
-          1.0, -2.0 * kPi * static_cast<double>(k * stride) /
-                   static_cast<double>(n));
-      table->re.push_back(w.real());
-      table->im.push_back(w.imag());
-    }
-  }
-  const auto* published = table.release();
-  g_stage_slots[idx].store(published, std::memory_order_release);
-  return *published;
-}
-
 /// Grows-on-demand per-thread scratch for the lane-batched CZT path, so
 /// the per-cell zoom transforms allocate nothing in steady state.
 double* czt_scratch(std::size_t doubles) {
   thread_local aligned_vector<double> buf;
   if (buf.size() < doubles) buf.resize(doubles);
   return buf.data();
-}
-
-bool vector_isa_active() {
-  return simd::active_isa() != simd::Isa::kScalar;
 }
 
 }  // namespace
@@ -162,63 +120,16 @@ void fft_lanes_pow2(double* re, double* im, std::size_t n, bool inverse) {
   simd::kernels().fft_lanes(re, im, n, twiddle_interleaved(n), inverse);
 }
 
-MMHAND_REALTIME
-void fft_soa_pow2(double* re, double* im, std::size_t n, bool inverse) {
-  MMHAND_CHECK(is_power_of_two(n), "fft_soa size " << n);
-  if (n < 2) return;
-  const StageTwiddles& stw = stage_twiddles(n);
-  simd::kernels().fft_soa(re, im, n, stw.re.data(), stw.im.data(), inverse);
-}
-
-std::vector<Complex> czt(std::span<const Complex> x, std::size_t m, Complex w,
-                         Complex a) {
-  // Bluestein's algorithm: X_k = w^{k^2/2} * sum_n x_n a^{-n} w^{n^2/2}
-  //                               * w^{-(k-n)^2/2}
-  // i.e. a convolution evaluated with power-of-two FFTs.
-  const std::size_t n = x.size();
-  MMHAND_CHECK(n >= 1 && m >= 1, "czt sizes n=" << n << " m=" << m);
-  const std::size_t conv = next_pow2(n + m - 1);
-
-  // Chirp factors w^{k^2/2}.  Compute via angle accumulation to avoid huge
-  // integer squares losing precision: arg(w^{k^2/2}) = k^2/2 * arg(w).
-  const double wang = std::arg(w);
-  const double wmag = std::abs(w);
-  auto chirp = [&](double k2_half) {
-    return std::polar(std::pow(wmag, k2_half), wang * k2_half);
-  };
-
-  std::vector<Complex> fa(conv, Complex{});
-  for (std::size_t i = 0; i < n; ++i) {
-    const double i2 = 0.5 * static_cast<double>(i) * static_cast<double>(i);
-    fa[i] = x[i] * std::pow(a, -static_cast<double>(i)) * chirp(i2);
-  }
-  std::vector<Complex> fb(conv, Complex{});
-  const std::size_t lim = std::max(n, m);
-  for (std::size_t i = 0; i < lim; ++i) {
-    const double i2 = 0.5 * static_cast<double>(i) * static_cast<double>(i);
-    const Complex v = chirp(-i2);
-    if (i < m) fb[i] = v;
-    if (i >= 1 && i < n) fb[conv - i] = v;
-  }
-  fft_pow2_inplace(fa, false);
-  fft_pow2_inplace(fb, false);
-  for (std::size_t i = 0; i < conv; ++i) fa[i] *= fb[i];
-  fft_pow2_inplace(fa, true);
-
-  std::vector<Complex> out(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double k2 = 0.5 * static_cast<double>(k) * static_cast<double>(k);
-    out[k] = fa[k] * chirp(k2);
-  }
-  return out;
-}
-
 CztPlan::CztPlan(std::size_t n, std::size_t m, Complex w, Complex a)
     : n_(n), m_(m), conv_(next_pow2(n + m - 1)) {
   MMHAND_CHECK(n >= 1 && m >= 1, "czt plan sizes n=" << n << " m=" << m);
-  // Identical factor formulas to `czt` above, evaluated once.  The plan
-  // is built with the scalar reference FFT so its tables do not depend
-  // on the active ISA.
+  // Bluestein's algorithm: X_k = w^{k^2/2} * sum_i x_i a^{-i} w^{i^2/2}
+  //                               * w^{-(k-i)^2/2},
+  // a convolution evaluated with power-of-two FFTs.  Every factor is
+  // computed once here; the kernel spectrum is built with the
+  // interleaved FFT so the plan's tables do not depend on the active
+  // ISA.  Chirp factors use angle accumulation, arg(w^{k^2/2}) =
+  // k^2/2 * arg(w), so large k^2 lose no precision to integer powers.
   const double wang = std::arg(w);
   const double wmag = std::abs(w);
   auto chirp = [&](double k2_half) {
@@ -258,24 +169,6 @@ CztPlan::CztPlan(std::size_t n, std::size_t m, Complex w, Complex a)
     out_re_[k] = c.real();
     out_im_[k] = c.imag();
   }
-}
-
-std::vector<Complex> CztPlan::run(std::span<const Complex> x) const {
-  MMHAND_CHECK(x.size() == n_, "czt plan input " << x.size() << " != " << n_);
-  const auto& k = simd::kernels();
-  aligned_vector<double> re(conv_, 0.0), im(conv_, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    re[i] = x[i].real();
-    im[i] = x[i].imag();
-  }
-  k.cmul(re.data(), im.data(), fa_re_.data(), fa_im_.data(), n_);
-  fft_soa_pow2(re.data(), im.data(), conv_, false);
-  k.cmul(re.data(), im.data(), fb_re_.data(), fb_im_.data(), conv_);
-  fft_soa_pow2(re.data(), im.data(), conv_, true);
-  k.cmul(re.data(), im.data(), out_re_.data(), out_im_.data(), m_);
-  std::vector<Complex> out(m_);
-  for (std::size_t i = 0; i < m_; ++i) out[i] = Complex{re[i], im[i]};
-  return out;
 }
 
 MMHAND_REALTIME
@@ -331,6 +224,8 @@ const CztPlan& zoom_plan(std::size_t n, double f_lo, double f_hi,
     if (p->n == n && p->bins == bins && p->f_lo_bits == lo &&
         p->f_hi_bits == hi)
       return p->plan;
+  MMHAND_CHECK(bins >= 1, "zoom plan needs bins >= 1");
+  MMHAND_CHECK(f_hi > f_lo, "zoom plan band [" << f_lo << ", " << f_hi << ")");
   std::lock_guard<std::mutex> lk(g_plan_mu);
   // Re-scan under the lock: another thread may have published the plan
   // between the lock-free miss and acquiring the mutex.
@@ -339,6 +234,8 @@ const CztPlan& zoom_plan(std::size_t n, double f_lo, double f_hi,
     if (p->n == n && p->bins == bins && p->f_lo_bits == lo &&
         p->f_hi_bits == hi)
       return p->plan;
+  // The band is a CZT with A = e^{+2*pi*i*f_lo} (so A^{-n} gives the
+  // f_lo shift) and W = e^{-2*pi*i*step} (so W^{nk} sweeps the band).
   const double step = (f_hi - f_lo) / static_cast<double>(bins);
   const Complex a = std::polar(1.0, 2.0 * kPi * f_lo);
   const Complex w = std::polar(1.0, -2.0 * kPi * step);
@@ -348,124 +245,6 @@ const CztPlan& zoom_plan(std::size_t n, double f_lo, double f_hi,
   const PlanNode* published = node.get();
   g_plan_head.store(node.release(), std::memory_order_release);
   return published->plan;
-}
-
-std::vector<Complex> fft(std::span<const Complex> x) {
-  const std::size_t n = x.size();
-  MMHAND_CHECK(n >= 1, "fft of empty signal");
-  if (is_power_of_two(n)) {
-    if (n >= 2 && vector_isa_active()) {
-      aligned_vector<double> re(n), im(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        re[i] = x[i].real();
-        im[i] = x[i].imag();
-      }
-      fft_soa_pow2(re.data(), im.data(), n, false);
-      std::vector<Complex> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = Complex{re[i], im[i]};
-      return v;
-    }
-    std::vector<Complex> v(x.begin(), x.end());
-    fft_pow2_inplace(v, false);
-    return v;
-  }
-  // Bluestein: DFT == CZT with a = 1, w = exp(-2*pi*i/n).
-  const Complex w = std::polar(1.0, -2.0 * kPi / static_cast<double>(n));
-  return czt(x, n, w, Complex{1.0, 0.0});
-}
-
-std::vector<Complex> ifft(std::span<const Complex> x) {
-  const std::size_t n = x.size();
-  MMHAND_CHECK(n >= 1, "ifft of empty signal");
-  if (is_power_of_two(n)) {
-    if (n >= 2 && vector_isa_active()) {
-      aligned_vector<double> re(n), im(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        re[i] = x[i].real();
-        im[i] = x[i].imag();
-      }
-      fft_soa_pow2(re.data(), im.data(), n, true);
-      std::vector<Complex> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = Complex{re[i], im[i]};
-      return v;
-    }
-    std::vector<Complex> v(x.begin(), x.end());
-    fft_pow2_inplace(v, true);
-    return v;
-  }
-  // Conjugation trick: ifft(x) = conj(fft(conj(x))) / n.
-  std::vector<Complex> c(n);
-  for (std::size_t i = 0; i < n; ++i) c[i] = std::conj(x[i]);
-  auto y = fft(c);
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (auto& v : y) v = std::conj(v) * inv_n;
-  return y;
-}
-
-std::vector<Complex> fft_real(std::span<const double> x) {
-  const std::size_t n = x.size();
-  if (n >= 4 && is_power_of_two(n) && vector_isa_active()) {
-    // Real-input specialization: pack the even/odd samples into a
-    // half-size complex signal, transform, and untangle
-    //   X_k = E_k + e^{-2*pi*i*k/n} O_k
-    // where E/O are the even/odd sub-spectra recovered from the packed
-    // transform Z via E_k = (Z_k + conj(Z_{h-k}))/2,
-    // O_k = -i (Z_k - conj(Z_{h-k}))/2.  Halves the butterfly work and
-    // keeps the conjugate-symmetric upper half free.
-    const std::size_t h = n / 2;
-    aligned_vector<double> re(h), im(h);
-    for (std::size_t i = 0; i < h; ++i) {
-      re[i] = x[2 * i];
-      im[i] = x[2 * i + 1];
-    }
-    fft_soa_pow2(re.data(), im.data(), h, false);
-    const auto& tw = twiddle_table(n);  // e^{-2*pi*i*k/n}, k < n/2
-    std::vector<Complex> out(n);
-    for (std::size_t k = 0; k <= h / 2; ++k) {
-      const std::size_t kc = (h - k) % h;
-      const Complex z1{re[k], im[k]};
-      const Complex z2{re[kc], -im[kc]};
-      const Complex e = 0.5 * (z1 + z2);
-      const Complex o = Complex{0.0, -0.5} * (z1 - z2);
-      out[k] = e + tw[k] * o;
-      if (k >= 1 && k < h - k) {
-        // Mirror within the lower half: X_{h-k} = E_k' + tw O_k' with
-        // E' = conj-mirror; computed directly from the same z pair.
-        const Complex e2 = std::conj(e);
-        const Complex o2 = std::conj(o);
-        out[h - k] = e2 + tw[h - k] * o2;
-      }
-    }
-    out[h] = Complex{re[0] - im[0], 0.0};
-    for (std::size_t k = 1; k < h; ++k) out[n - k] = std::conj(out[k]);
-    return out;
-  }
-  std::vector<Complex> c(n);
-  for (std::size_t i = 0; i < n; ++i) c[i] = Complex{x[i], 0.0};
-  return fft(c);
-}
-
-std::vector<Complex> fft_shift(std::span<const Complex> x) {
-  const std::size_t n = x.size();
-  std::vector<Complex> out(n);
-  const std::size_t half = (n + 1) / 2;  // index of first "negative" bin
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[(i + half) % n];
-  return out;
-}
-
-std::vector<Complex> zoom_fft(std::span<const Complex> x, double f_lo,
-                              double f_hi, std::size_t bins) {
-  MMHAND_CHECK(bins >= 1, "zoom_fft needs bins >= 1");
-  MMHAND_CHECK(f_hi > f_lo, "zoom_fft band [" << f_lo << ", " << f_hi << ")");
-  if (vector_isa_active())
-    return zoom_plan(x.size(), f_lo, f_hi, bins).run(x);
-  const double step = (f_hi - f_lo) / static_cast<double>(bins);
-  // X_k = sum_n x_n e^{-2*pi*i*(f_lo + k*step)*n}  ==  CZT with
-  // A = e^{+2*pi*i*f_lo} (so A^{-n} gives the f_lo shift) and
-  // W = e^{-2*pi*i*step} (so W^{nk} sweeps the band).
-  const Complex a = std::polar(1.0, 2.0 * kPi * f_lo);
-  const Complex w = std::polar(1.0, -2.0 * kPi * step);
-  return czt(x, bins, w, a);
 }
 
 }  // namespace mmhand::dsp

@@ -76,6 +76,13 @@ struct ChirpConfig {
     MMHAND_CHECK(chirp_duration_s > 0, "chirp duration");
     MMHAND_CHECK(samples_per_chirp >= 8, "samples per chirp");
     MMHAND_CHECK(chirps_per_frame >= 2, "chirps per frame");
+    // The range- and Doppler-FFTs are radix-2 only.
+    MMHAND_CHECK((samples_per_chirp & (samples_per_chirp - 1)) == 0,
+                 "samples_per_chirp must be a power of two, got "
+                     << samples_per_chirp);
+    MMHAND_CHECK((chirps_per_frame & (chirps_per_frame - 1)) == 0,
+                 "chirps_per_frame must be a power of two, got "
+                     << chirps_per_frame);
     MMHAND_CHECK(num_tx >= 1 && num_rx >= 1, "antenna counts");
     MMHAND_CHECK(frame_period_s >=
                      chirp_duration_s * num_tx * chirps_per_frame,

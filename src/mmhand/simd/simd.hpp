@@ -13,21 +13,21 @@
 // Data layout: all kernels work on split-complex (SoA) double arrays.
 // Lane-batched ("lanes") kernels interleave `width` independent
 // signals element-major: element k of lane l lives at [k*width + l],
-// so one vector load fetches element k of every lane.  Single-signal
-// ("soa") kernels vectorize across the element index instead.
+// so one vector load fetches element k of every lane.  Flat kernels
+// (cmul, vmag) run over contiguous arrays.
 //
-// Numerical contract (DESIGN §9): the scalar ISA never reaches these
-// kernels — dsp/ batch entry points run the original per-signal code
-// verbatim, keeping scalar results bitwise identical to pre-SIMD
-// builds.  Vector ISAs may reassociate and fuse (FMA), and agree with
-// the scalar path to 1e-9 relative on the parity suite.
+// Numerical contract (DESIGN §9): every ISA runs the same generic
+// kernel bodies (simd/kernels_body.inl), so the dsp/ and radar/ stages
+// have one code path; the scalar ISA is that path at width 1.  ISAs
+// differ only in lane count and in FMA contraction, and agree with the
+// naive reference transforms in tests/ to 1e-9 relative.
 
 #include <cstddef>
 
 namespace mmhand::simd {
 
 enum class Isa {
-  kScalar = 0,  ///< reference path; bitwise-stable across builds
+  kScalar = 0,  ///< the generic kernels at width 1; runs on any host
   kAvx2 = 1,    ///< x86-64 AVX2+FMA, 4 double lanes
   kNeon = 2,    ///< aarch64 NEON, 2 double lanes
 };
@@ -65,13 +65,6 @@ struct Kernels {
   /// applies the 1/n normalization.
   void (*fft_lanes)(double* re, double* im, std::size_t n, const double* tw,
                     bool inverse);
-
-  /// Radix-2 FFT of one signal of power-of-two size n in SoA form,
-  /// vectorized across the butterfly index.  stw_re/stw_im are the
-  /// per-stage twiddle tables (n-1 doubles each: stage len=2 first,
-  /// len/2 entries per stage, contiguous).
-  void (*fft_soa)(double* re, double* im, std::size_t n, const double* stw_re,
-                  const double* stw_im, bool inverse);
 
   /// x[k*width+l] *= b[k] for k < n: complex multiply with a
   /// per-element broadcast factor (chirp/spectrum tables).

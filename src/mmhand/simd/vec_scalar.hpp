@@ -2,10 +2,9 @@
 
 // Width-1 "vector" backend: plain doubles behind the same interface as
 // vec_avx2/vec_neon, so the generic kernel bodies in kernels_body.inl
-// instantiate unchanged.  This is the table every host can run; it is
-// NOT the bitwise-stable scalar path (dsp/ keeps the original
-// per-signal code for that) — it exists so the function-pointer table
-// is total and so the generic bodies have a reference instantiation.
+// instantiate unchanged.  This is the table every host can run and the
+// one the scalar ISA (MMHAND_SIMD=scalar) selects: the DSP stages run
+// the same code at width 1.
 
 #include <cmath>
 #include <cstddef>

@@ -100,10 +100,6 @@ TEST(AllocInterposer, CountsArrayAlignedAndNothrowForms) {
 }
 
 TEST(AllocInterposer, SteadyStateRadarFramesAreAllocationFree) {
-  if (simd::active_isa() == simd::Isa::kScalar)
-    GTEST_SKIP() << "scalar reference path allocates by design "
-                    "(audited in scripts/purity_allowlist.json)";
-
   radar::ChirpConfig chirp;
   chirp.noise_stddev = 0.0;
   const radar::AntennaArray array(chirp);
@@ -117,24 +113,32 @@ TEST(AllocInterposer, SteadyStateRadarFramesAreAllocationFree) {
   const auto frame = sim.simulate_frame(scene, 0.0, rng);
   radar::RadarCube cube;
 
+  // Both widths run the same stages; gate each one.
+  const simd::Isa saved_isa = simd::active_isa();
   const int saved_threads = num_threads();
-  for (const int threads : {1, 4}) {
-    set_num_threads(threads);
-    // Settle: which worker first touches a stage's grow-on-demand
-    // scratch is a chunk-claiming race, so early batches may grow; a
-    // batch with zero allocations proves steady state (and a real
-    // per-frame leak never produces one).
-    std::int64_t batch_allocs = -1;
-    for (int batch = 0; batch < 8 && batch_allocs != 0; ++batch) {
-      TrackScope track;
-      const AllocCounts before = alloc_counts();
-      for (int i = 0; i < 10; ++i) pipe.process_frame_into(frame, &cube);
-      batch_allocs = alloc_counts().allocs - before.allocs;
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::best_supported_isa()}) {
+    ASSERT_TRUE(simd::set_isa(isa));
+    for (const int threads : {1, 4}) {
+      set_num_threads(threads);
+      // Settle: which worker first touches a stage's grow-on-demand
+      // scratch is a chunk-claiming race, so early batches may grow; a
+      // batch with zero allocations proves steady state (and a real
+      // per-frame leak never produces one).
+      std::int64_t batch_allocs = -1;
+      for (int batch = 0; batch < 8 && batch_allocs != 0; ++batch) {
+        TrackScope track;
+        const AllocCounts before = alloc_counts();
+        for (int i = 0; i < 10; ++i) pipe.process_frame_into(frame, &cube);
+        batch_allocs = alloc_counts().allocs - before.allocs;
+      }
+      EXPECT_EQ(batch_allocs, 0)
+          << "steady-state frames allocate at " << threads
+          << " thread(s), isa " << simd::isa_name(isa);
     }
-    EXPECT_EQ(batch_allocs, 0)
-        << "steady-state frames allocate at " << threads << " thread(s)";
   }
   set_num_threads(saved_threads);
+  simd::set_isa(saved_isa);
 }
 
 }  // namespace

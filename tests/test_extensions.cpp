@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "mmhand/nn/gradcheck.hpp"
-#include "mmhand/nn/dropout.hpp"
 #include "mmhand/nn/gru.hpp"
 #include "mmhand/pose/gesture_classifier.hpp"
 #include "mmhand/pose/joint_model.hpp"
@@ -262,56 +261,6 @@ TEST(ConfusionMatrix, AccuracyAndCounts) {
   EXPECT_EQ(cm.count(hand::Gesture::kFist, hand::Gesture::kOpenPalm), 1);
   EXPECT_NEAR(cm.accuracy(), 2.0 / 3.0, 1e-12);
   EXPECT_THROW(cm.add(hand::Gesture::kPinch, hand::Gesture::kFist), Error);
-}
-
-
-TEST(Dropout, InferenceIsIdentity) {
-  Rng rng(20);
-  nn::Dropout drop(0.5, rng);
-  const nn::Tensor x = random_tensor({3, 8}, rng);
-  const nn::Tensor y = drop.forward(x, /*training=*/false);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainingDropsAndRescales) {
-  Rng rng(21);
-  nn::Dropout drop(0.5, rng);
-  const nn::Tensor x = nn::Tensor::full({1, 2000}, 1.0f);
-  const nn::Tensor y = drop.forward(x, true);
-  std::size_t zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f)
-      ++zeros;
-    else
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1/(1-0.5)
-    sum += y[i];
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.5, 0.05);
-  EXPECT_NEAR(sum / y.numel(), 1.0, 0.1);  // expectation preserved
-}
-
-TEST(Dropout, BackwardMasksGradients) {
-  Rng rng(22);
-  nn::Dropout drop(0.3, rng);
-  const nn::Tensor x = random_tensor({2, 16}, rng);
-  const nn::Tensor y = drop.forward(x, true);
-  const nn::Tensor g = drop.backward(nn::Tensor::full({2, 16}, 1.0f));
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f)
-      EXPECT_EQ(g[i], 0.0f);
-    else
-      EXPECT_GT(g[i], 1.0f);
-  }
-}
-
-TEST(Dropout, RejectsBadRateAndUntrainedBackward) {
-  Rng rng(23);
-  EXPECT_THROW(nn::Dropout(1.0, rng), Error);
-  EXPECT_THROW(nn::Dropout(-0.1, rng), Error);
-  nn::Dropout drop(0.5, rng);
-  (void)drop.forward(random_tensor({1, 4}, rng), false);
-  EXPECT_THROW(drop.backward(nn::Tensor::full({1, 4}, 1.0f)), Error);
 }
 
 

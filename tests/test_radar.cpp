@@ -5,11 +5,11 @@
 
 #include <cmath>
 
+#include "dsp_oracle.hpp"
 #include "mmhand/common/error.hpp"
 #include "mmhand/common/rng.hpp"
 #include "mmhand/radar/antenna_array.hpp"
 #include "mmhand/radar/chirp_config.hpp"
-#include "mmhand/dsp/fft.hpp"
 #include "mmhand/radar/if_simulator.hpp"
 #include "mmhand/radar/pipeline.hpp"
 
@@ -65,6 +65,22 @@ TEST(ChirpConfig, ValidateRejectsBadFramePeriod) {
   EXPECT_THROW(c.validate(), Error);
 }
 
+TEST(ChirpConfig, ValidateRejectsNonPowerOfTwoSamplesPerChirp) {
+  ChirpConfig c = paper_chirp();
+  c.samples_per_chirp = 48;
+  EXPECT_THROW(c.validate(), Error);
+  const AntennaArray arr(paper_chirp());
+  EXPECT_THROW(RadarPipeline(c, arr, PipelineConfig{}), Error);
+}
+
+TEST(ChirpConfig, ValidateRejectsNonPowerOfTwoChirpsPerFrame) {
+  ChirpConfig c = paper_chirp();
+  c.chirps_per_frame = 12;
+  EXPECT_THROW(c.validate(), Error);
+  const AntennaArray arr(paper_chirp());
+  EXPECT_THROW(RadarPipeline(c, arr, PipelineConfig{}), Error);
+}
+
 TEST(AntennaArray, VirtualAzimuthRowIsUniformLambdaHalf) {
   const ChirpConfig c = paper_chirp();
   const AntennaArray arr(c);
@@ -116,7 +132,7 @@ TEST(IfSimulator, BeatFrequencyMatchesRange) {
   // FFT of one chirp: peak bin * bin_hz ~= beat frequency.
   std::vector<std::complex<double>> chirp(
       frame.chirp_data(0, 0, 0), frame.chirp_data(0, 0, 0) + c.samples_per_chirp);
-  const auto spec = dsp::fft(chirp);
+  const auto spec = dsp::oracle::dft(chirp);
   std::size_t best = 0;
   for (std::size_t i = 1; i < spec.size() / 2; ++i)
     if (std::abs(spec[i]) > std::abs(spec[best])) best = i;
@@ -375,6 +391,31 @@ TEST(Pipeline, BinMappingsAreMonotone) {
   for (int v = 1; v < c.chirps_per_frame; ++v)
     EXPECT_GT(pipe.velocity_for_bin(v), pipe.velocity_for_bin(v - 1));
   EXPECT_NEAR(pipe.velocity_for_bin(c.chirps_per_frame / 2), 0.0, 1e-12);
+}
+
+TEST(Pipeline, RejectsFrameWhoseShapeDiffersFromChirpConfig) {
+  // The windows and the array's (tx, rx) rows are sized from the
+  // ChirpConfig, so a frame one off in any dimension must be refused
+  // rather than read out of bounds.
+  const ChirpConfig c = paper_chirp();
+  const AntennaArray arr(c);
+  const RadarPipeline pipe(c, arr, PipelineConfig{});
+  const int dims[4] = {c.num_tx, c.num_rx, c.chirps_per_frame,
+                       c.samples_per_chirp};
+  RadarCube cube;
+  for (int dim = 0; dim < 4; ++dim) {
+    for (const int delta : {-1, +1}) {
+      int d[4] = {dims[0], dims[1], dims[2], dims[3]};
+      d[dim] += delta;
+      const IfFrame frame(d[0], d[1], d[2], d[3]);
+      EXPECT_THROW(pipe.process_frame(frame), Error)
+          << "dim " << dim << " delta " << delta;
+      EXPECT_THROW(pipe.process_frame_into(frame, &cube), Error)
+          << "dim " << dim << " delta " << delta;
+    }
+  }
+  EXPECT_NO_THROW(
+      pipe.process_frame(IfFrame(dims[0], dims[1], dims[2], dims[3])));
 }
 
 TEST(Pipeline, RejectsTooManyRangeBins) {
